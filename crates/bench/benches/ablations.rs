@@ -35,7 +35,7 @@ use std::time::Instant;
 use mantra_bench::{drive_for, monitor_for};
 use mantra_core::aggregate::{collect_aggregate, collect_aggregate_sequential};
 use mantra_core::archive::{
-    BackpressureMode, FileBackend, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
+    BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use mantra_core::collector::{preprocess_bytes, Capture, RouterAccess, SimAccess};
 use mantra_core::logger::{diff_reference, diff_with, SnapshotParts, TableDelta, TableLog};
@@ -303,22 +303,6 @@ fn ablation_archive(c: &mut Criterion) {
             black_box(snapshots)
         })
     });
-    group.bench_function("file_v1_write_replay", |b| {
-        b.iter(|| {
-            let mut snapshots = 0usize;
-            for (r, stream) in streams.iter().enumerate() {
-                let path = dir.join(format!("r{r}.marc"));
-                let backend = FileBackend::create(&path).expect("create archive");
-                let mut log = TableLog::with_backend(Box::new(backend), 96);
-                for s in stream {
-                    log.append(s);
-                }
-                assert!(log.backend_error().is_none());
-                snapshots += log.replay_iter().filter(|t| t.is_ok()).count();
-            }
-            black_box(snapshots)
-        })
-    });
     group.bench_function("file_v2_write_replay", |b| {
         b.iter(|| {
             let mut snapshots = 0usize;
@@ -338,31 +322,28 @@ fn ablation_archive(c: &mut Criterion) {
     group.finish();
 
     // Bytes-on-disk across the whole fleet-day, printed once: the v2
-    // id-keyed encoding must land strictly below v1's JSON payloads.
-    let (mut mem_b, mut v1_b, mut v2_b) = (0u64, 0u64, 0u64);
+    // id-keyed frames, dictionary included, must land strictly below the
+    // JSON payloads alone.
+    let (mut mem_b, mut v2_b) = (0u64, 0u64);
     for (r, stream) in streams.iter().enumerate() {
         let mut mem = TableLog::new(96);
-        let v1 = FileBackend::create(dir.join(format!("acct-{r}-v1.marc"))).expect("v1");
-        let mut v1 = TableLog::with_backend(Box::new(v1), 96);
         let v2 = FileBackendV2::create(dir.join(format!("acct-{r}-v2.marc"))).expect("v2");
         let mut v2 = TableLog::with_backend(Box::new(v2), 96);
         for s in stream {
             mem.append(s);
-            v1.append(s);
             v2.append(s);
         }
         mem_b += mem.bytes_stored as u64;
-        v1_b += v1.archive_stats().bytes;
         v2_b += v2.archive_stats().bytes;
     }
     assert!(
-        v2_b < v1_b,
-        "v2 must be smaller on disk: v2={v2_b}B v1={v1_b}B"
+        v2_b < mem_b,
+        "v2 must be smaller on disk than the JSON payloads: v2={v2_b}B json={mem_b}B"
     );
     println!(
-        "[ablation_archive] fleet-day on disk: json-payload={mem_b}B v1-frames={v1_b}B \
-         v2-frames={v2_b}B (v2/v1 = {:.1}%)",
-        100.0 * v2_b as f64 / v1_b as f64
+        "[ablation_archive] fleet-day on disk: json-payload={mem_b}B v2-frames={v2_b}B \
+         (v2/json = {:.1}%)",
+        100.0 * v2_b as f64 / mem_b as f64
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,8 +35,12 @@ fn churn_partition_run_matches_golden_transcript() {
         eprintln!("blessed {}", golden_path.display());
         return;
     }
-    let want = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with MANTRA_BLESS=1 to create)", golden_path.display()));
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (run with MANTRA_BLESS=1 to create)",
+            golden_path.display()
+        )
+    });
     assert_eq!(
         got,
         want,

@@ -59,8 +59,8 @@ pub mod web;
 
 pub use archive::{
     ArchiveBackend, ArchiveDict, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats,
-    BackpressureMode, CacheStats, FileBackend, FileBackendV2, MemoryBackend, OpenMode, QueryCache,
-    SyncPolicy, ThreadedBackend, WriterConfig,
+    BackpressureMode, CacheStats, FileBackendV2, MemoryBackend, QueryCache, SyncPolicy,
+    ThreadedBackend, WriterConfig,
 };
 pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy, RouterAccess};
 pub use fleet::FleetMonitor;

@@ -24,9 +24,8 @@ use serde::{Deserialize, Serialize};
 use mantra_net::{GroupAddr, Ip, Prefix, SimTime};
 
 use crate::archive::{
-    read_header, unsupported_version, ArchiveBackend, ArchiveInfo, ArchiveSpec, ArchiveStats,
-    FileBackend, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy, ThreadedBackend,
-    FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC,
+    read_header, ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats,
+    FileBackendV2, MemoryBackend, RecordIter, SyncPolicy, ThreadedBackend, FORMAT_VERSION, MAGIC,
 };
 use crate::store::{in_key_order, in_key_order_cached, Interner, TableStore};
 use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
@@ -38,6 +37,16 @@ pub enum LogRecord {
     Full(SnapshotParts),
     /// Changes relative to the previous record.
     Delta(TableDelta),
+}
+
+impl LogRecord {
+    /// When the snapshot this record stores was captured.
+    pub fn captured_at(&self) -> SimTime {
+        match self {
+            LogRecord::Full(p) => p.captured_at,
+            LogRecord::Delta(d) => d.captured_at,
+        }
+    }
 }
 
 /// The non-derivable parts of a snapshot.
@@ -562,9 +571,9 @@ pub fn apply_reference(base: &SnapshotParts, delta: &TableDelta) -> SnapshotPart
 ///
 /// Where the records live is delegated to an [`ArchiveBackend`]: the
 /// default [`MemoryBackend`] keeps them in process (and serialises
-/// byte-identically to the pre-backend log), while [`FileBackend`] turns
-/// the log into a durable on-disk archive with checkpoints and crash
-/// recovery. Appending is infallible either way — a failing backend
+/// byte-identically to the pre-backend log), while [`FileBackendV2`]
+/// turns the log into a durable on-disk archive with checkpoints and
+/// crash recovery. Appending is infallible either way — a failing backend
 /// write is counted in [`TableLog::write_errors`] and surfaced through
 /// [`TableLog::backend_error`] rather than panicking mid-cycle.
 #[derive(Debug)]
@@ -645,44 +654,33 @@ impl TableLog {
         }
     }
 
-    /// Opens (or creates) an on-disk archive at `path` for appending,
-    /// dispatching on the header's format version: existing v1 archives
-    /// keep appending JSON frames through [`FileBackend`], v2 archives
-    /// (and fresh files) go through [`FileBackendV2`], and an unknown
+    /// Opens (or creates) an on-disk archive at `path` for appending
+    /// through [`FileBackendV2`]. An existing v1 archive opens read-only
+    /// instead: it replays, and every append fails (counted in
+    /// [`TableLog::write_errors`]) with an error naming
+    /// `mantra archive compact`, which rewrites it as v2. An unknown
     /// version fails loudly instead of guessing.
     ///
     /// The tail snapshot and delta cadence are rebuilt by replaying only
     /// the records from the last checkpoint — a reopened archive keeps
     /// appending deltas exactly as if the process had never stopped.
     pub fn open_file(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        let backend: Box<dyn ArchiveBackend> = if path.exists() {
-            let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
-            match version {
-                FORMAT_VERSION => Box::new(FileBackend::open(path)?),
-                FORMAT_VERSION_V2 => Box::new(FileBackendV2::open(path)?),
-                v => return Err(unsupported_version(v)),
-            }
-        } else {
-            Box::new(FileBackendV2::create(path)?)
-        };
-        Self::resume(backend, full_every)
+        let v1 = path.exists() && read_header(&mut std::fs::File::open(path)?)?.0 == FORMAT_VERSION;
+        if v1 {
+            return Self::open_file_read_only(path, full_every);
+        }
+        Self::resume(Box::new(FileBackendV2::open(path)?), full_every)
     }
 
-    /// Opens an existing on-disk archive for reading only, dispatching
-    /// on the format version like [`TableLog::open_file`]. The file is
-    /// never written: a torn or corrupt tail is clamped to the last
-    /// intact record in memory instead of being truncated away, so this
-    /// is safe against an archive another process is actively appending
-    /// to. Appends through the returned log fail (and are counted in
+    /// Opens an existing on-disk archive, of either version, for
+    /// reading only through an [`ArchiveReader`]. The file is never
+    /// written: a torn or corrupt tail is clamped to the last intact
+    /// record in memory instead of being truncated away, so this is safe
+    /// against an archive another process is actively appending to.
+    /// Appends through the returned log fail (and are counted in
     /// [`TableLog::write_errors`]).
     pub fn open_file_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
-        let backend: Box<dyn ArchiveBackend> = match version {
-            FORMAT_VERSION => Box::new(FileBackend::open_read_only(path)?),
-            FORMAT_VERSION_V2 => Box::new(FileBackendV2::open_read_only(path)?),
-            v => return Err(unsupported_version(v)),
-        };
-        Self::resume(backend, full_every)
+        Self::resume(Box::new(ArchiveReader::open(path)?), full_every)
     }
 
     /// Rebuilds the in-memory tail state (last snapshot, delta cadence)
@@ -870,12 +868,7 @@ impl TableLog {
     /// snapshot (plus the record being applied) in memory regardless of
     /// archive length.
     pub fn replay_iter(&self) -> ReplayIter<'_> {
-        ReplayIter {
-            records: self.backend.records(),
-            store: TableStore::default(),
-            cur: None,
-            done: false,
-        }
+        ReplayIter::new(self.backend.records())
     }
 
     /// Replays the log, returning every snapshot in order.
@@ -954,9 +947,9 @@ impl TableLog {
     }
 
     /// Loads an archive from disk, sniffing the format: a `MANTRARC`
-    /// header dispatches on its format version ([`FileBackend`] for v1,
-    /// [`FileBackendV2`] for v2, a clear unsupported-version error for
-    /// anything newer — never a fallback to JSONL sniffing), JSON-lines
+    /// header opens through [`TableLog::open_file`] (v2 for appending,
+    /// v1 read-only, a clear unsupported-version error for anything
+    /// newer — never a fallback to JSONL sniffing), JSON-lines
     /// loads the legacy [`TableLog::save`] shape into memory, and
     /// anything else is rejected with a clear error instead of a JSON
     /// parse failure.
@@ -1054,6 +1047,18 @@ pub struct ReplayIter<'a> {
     store: TableStore,
     cur: Option<SnapshotParts>,
     done: bool,
+}
+
+impl<'a> ReplayIter<'a> {
+    /// Replays `records`, which must start at a full record.
+    pub(crate) fn new(records: RecordIter<'a>) -> Self {
+        ReplayIter {
+            records,
+            store: TableStore::default(),
+            cur: None,
+            done: false,
+        }
+    }
 }
 
 impl Iterator for ReplayIter<'_> {
@@ -1250,6 +1255,7 @@ pub fn compact_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::FORMAT_VERSION_V2;
     use mantra_net::BitRate;
 
     fn t(n: u64) -> SimTime {

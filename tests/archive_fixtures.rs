@@ -1,26 +1,23 @@
 //! Golden v1 fixture archives: committed MANTRARC v1 files that pin the
-//! legacy on-disk format forever. The v2-capable reader must keep
-//! replaying them byte-identically to a memory archive fed the same
-//! stream, and `v1 → compact → v2` must preserve every row while
+//! legacy on-disk format forever. Nothing writes v1 any more, so the
+//! fixture is frozen: the reader must keep replaying it byte-identically
+//! to a memory archive fed the same stream, recover damaged copies of it
+//! to a clean prefix without writing, refuse appends with a pointer to
+//! compaction, and `v1 → compact → v2` must preserve every row while
 //! shrinking the file.
 //!
 //! The fixture stream is regenerated deterministically in-test (no
 //! committed JSON), so a drift in either the fixture bytes or the reader
-//! shows up as a replay diff. To rewrite the fixtures after a deliberate
-//! format change:
-//!
-//! ```text
-//! cargo test --test archive_fixtures -- --ignored regenerate
-//! ```
+//! shows up as a replay diff.
 
 use std::path::PathBuf;
 
-use mantra::core::archive::FileBackend;
 use mantra::core::logger::{compact_archive, CompactOptions, TableLog};
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
 
 const FULL_EVERY: usize = 4;
+const HEADER_LEN: u64 = 24;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/data/{name}"))
@@ -76,21 +73,47 @@ fn fixture_stream() -> Vec<Tables> {
         .collect()
 }
 
-/// Rewrites the committed fixtures. Run explicitly (`-- --ignored`)
-/// after a deliberate v1 writer change — never from CI.
-#[test]
-#[ignore = "regenerates the committed fixtures in tests/data/"]
-fn regenerate() {
-    let path = fixture_path("fixw-v1.marc");
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    let _ = std::fs::remove_file(&path);
-    let backend = FileBackend::create(&path).unwrap();
-    let mut log = TableLog::with_backend(Box::new(backend), FULL_EVERY);
-    for s in &fixture_stream() {
-        log.append(s);
+/// Where each v1 frame of `bytes` starts, plus where the last one ends:
+/// `starts[k]` is record `k`'s offset.
+fn frame_starts(bytes: &[u8]) -> Vec<u64> {
+    let mut starts = vec![HEADER_LEN];
+    let mut pos = HEADER_LEN as usize;
+    while pos + 9 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        pos += 9 + len;
+        starts.push(pos as u64);
     }
-    assert_eq!(log.backend_error(), None);
-    eprintln!("wrote {}", path.display());
+    starts
+}
+
+/// Writes `bytes` to a scratch archive, loads it the way `mantra archive`
+/// and the monitor do, and checks the load saw exactly `k` records with
+/// `recovered` bytes dropped — and wrote nothing.
+fn assert_loads_prefix(tag: &str, bytes: &[u8], k: usize, recovered: u64) {
+    let path =
+        std::env::temp_dir().join(format!("mantra-fixture-{tag}-{}.marc", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let streams = fixture_stream();
+    for log in [
+        TableLog::load(&path, FULL_EVERY).unwrap(),
+        TableLog::load_read_only(&path, FULL_EVERY).unwrap(),
+    ] {
+        let stats = log.archive_stats();
+        assert_eq!(stats.records, k as u64, "{tag}");
+        assert_eq!(stats.recovered_bytes, recovered, "{tag}");
+        assert_eq!(log.replay(), &streams[..k], "{tag}");
+        assert_eq!(
+            log.last().as_ref(),
+            k.checked_sub(1).map(|i| &streams[i]),
+            "{tag}"
+        );
+    }
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "{tag}: the load wrote"
+    );
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -153,4 +176,77 @@ fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
     let reloaded = TableLog::load(&out, FULL_EVERY).unwrap();
     assert_eq!(reloaded.replay(), src.replay());
     std::fs::remove_file(&out).unwrap();
+}
+
+#[test]
+fn truncated_v1_fixture_loads_to_the_clean_prefix_without_writing() {
+    let bytes = std::fs::read(fixture_path("fixw-v1.marc")).unwrap();
+    let starts = frame_starts(&bytes);
+    assert_eq!(starts.len(), fixture_stream().len() + 1);
+    assert_eq!(*starts.last().unwrap(), bytes.len() as u64);
+    // Every frame boundary ± 1, plus a stride across the whole file.
+    let mut cuts: Vec<u64> = starts
+        .iter()
+        .flat_map(|&o| [o - 1, o, o + 1])
+        .chain((HEADER_LEN..bytes.len() as u64).step_by(97))
+        .filter(|&c| (HEADER_LEN..=bytes.len() as u64).contains(&c))
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    for cut in cuts {
+        let k = starts[1..].iter().filter(|&&end| end <= cut).count();
+        assert_loads_prefix(
+            &format!("cut-{cut}"),
+            &bytes[..cut as usize],
+            k,
+            cut - starts[k],
+        );
+    }
+}
+
+#[test]
+fn byte_flipped_v1_fixture_loads_to_the_clean_prefix_without_writing() {
+    let bytes = std::fs::read(fixture_path("fixw-v1.marc")).unwrap();
+    let starts = frame_starts(&bytes);
+    for k in 0..starts.len() - 1 {
+        let (frame, end) = (starts[k] as usize, starts[k + 1] as usize);
+        // The kind byte, a length byte, a CRC byte and payload bytes:
+        // each one ends the archive at record k.
+        for at in [
+            frame,
+            frame + 2,
+            frame + 6,
+            frame + 9,
+            (frame + end) / 2,
+            end - 1,
+        ] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xA5;
+            assert_loads_prefix(
+                &format!("flip-{at}"),
+                &flipped,
+                k,
+                bytes.len() as u64 - starts[k],
+            );
+        }
+    }
+}
+
+#[test]
+fn appending_to_a_loaded_v1_log_fails_with_the_compaction_hint() {
+    let path =
+        std::env::temp_dir().join(format!("mantra-fixture-append-{}.marc", std::process::id()));
+    let bytes = std::fs::read(fixture_path("fixw-v1.marc")).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    let mut log = TableLog::load(&path, FULL_EVERY).unwrap();
+    let streams = fixture_stream();
+    log.append(&streams[0]);
+    assert_eq!(log.write_errors, 1);
+    let err = log.backend_error().expect("the append must fail loudly");
+    assert!(err.contains("mantra archive compact"), "{err}");
+    assert_eq!(log.archive_stats().write_errors, 1);
+    assert_eq!(log.replay(), streams, "the failed append changed nothing");
+    drop(log);
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "the append wrote");
+    std::fs::remove_file(&path).unwrap();
 }

@@ -11,8 +11,7 @@ use mantra::core::archive::ArchiveReader;
 use mantra::core::collector::SimAccess;
 use mantra::core::logger::TableLog;
 use mantra::core::{
-    ArchiveSpec, BackpressureMode, LifecycleState, Monitor, MonitorConfig, SyncPolicy,
-    WriterConfig,
+    ArchiveSpec, BackpressureMode, LifecycleState, Monitor, MonitorConfig, SyncPolicy, WriterConfig,
 };
 use mantra::net::SimTime;
 use mantra::sim::{ChurnEntry, ChurnEvent, ChurnSchedule, Scenario};
@@ -157,7 +156,7 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
         log.describe().epoch
     );
     assert_eq!(
-        log.archive_stats().records as u64,
+        log.archive_stats().records,
         LEAVE_AFTER + POST_REJOIN,
         "history plus post-rejoin appends"
     );

@@ -145,8 +145,10 @@ impl ArchiveBackend for FailingBackend {
 /// Record-batch offsets (dict frame + record frame spans) of the clean,
 /// uncrashed archive — the crashed file is byte-identical up to its
 /// budget, so these are the ground truth for what each budget preserves.
-fn clean_offsets(streams: &[Tables], full_every: usize) -> (Vec<u64>, u64) {
-    let path = tmp_path("clean");
+/// `tag` names the scratch file, so each test writes its own: the
+/// tests run in parallel.
+fn clean_offsets(streams: &[Tables], full_every: usize, tag: &str) -> (Vec<u64>, u64) {
+    let path = tmp_path(tag);
     let backend = FileBackendV2::create(&path).unwrap();
     let mut log = TableLog::with_backend(Box::new(backend), full_every);
     for s in streams {
@@ -165,7 +167,7 @@ fn clean_offsets(streams: &[Tables], full_every: usize) -> (Vec<u64>, u64) {
 fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
     let streams = stream();
     let full_every = 3;
-    let (offsets, total) = clean_offsets(&streams, full_every);
+    let (offsets, total) = clean_offsets(&streams, full_every, "clean-sync");
     assert_eq!(offsets.len(), streams.len() + 1);
 
     // Every frame boundary ± 1, plus a stride across the whole file.
@@ -224,7 +226,7 @@ fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
 fn every_crash_point_recovers_under_the_threaded_writer() {
     let streams = stream();
     let full_every = 3;
-    let (offsets, total) = clean_offsets(&streams, full_every);
+    let (offsets, total) = clean_offsets(&streams, full_every, "clean-threaded");
 
     // Frame boundaries ± 1 — the sweep that matters for torn frames.
     // (The dense byte stride is covered by the synchronous sweep above;

@@ -1,6 +1,7 @@
-//! Property-based tests for the archive backends: the on-disk format
-//! stores exactly the payload bytes the in-memory backend does, streaming
-//! replay is indistinguishable from materialised replay, and a torn tail
+//! Property-based tests for the archive backends: an on-disk archive
+//! replays exactly what the in-memory backend holds, through the writer
+//! and through the read-only reader alike, streaming replay is
+//! indistinguishable from materialised replay, and a torn tail
 //! (simulated crash mid-append) always recovers to the last intact record.
 
 use std::path::PathBuf;
@@ -9,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use mantra::core::archive::{
-    BackpressureMode, FileBackend, FileBackendV2, ThreadedBackend, WriterConfig,
+    ArchiveBackend, ArchiveReader, BackpressureMode, FileBackendV2, ThreadedBackend, WriterConfig,
 };
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
@@ -94,9 +95,11 @@ fn tmp_archive() -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The file backend archives the exact payload bytes the memory
-    /// backend does, replays to the same snapshots, and survives a
-    /// close/reopen cycle unchanged.
+    /// A file archive read back through the read-only backend
+    /// ([`ArchiveReader`]) holds exactly what the writer indexed — same
+    /// records, checkpoints, bytes and dictionary — and replays to the
+    /// memory log's snapshots, from the start and from its last
+    /// checkpoint.
     #[test]
     fn file_backend_round_trips_identically_to_memory(
         streams in arb_stream(1..10),
@@ -104,24 +107,26 @@ proptest! {
     ) {
         let mut mem = TableLog::new(full_every);
         let path = tmp_archive();
-        let backend = FileBackend::create(&path).unwrap();
+        let backend = FileBackendV2::create(&path).unwrap();
         let mut file = TableLog::with_backend(Box::new(backend), full_every);
         for s in &streams {
             mem.append(s);
             file.append(s);
         }
         prop_assert_eq!(file.backend_error(), None);
-        // Identical logical content: same payload bytes, same checkpoint
-        // schedule, same replayed snapshots.
-        prop_assert_eq!(file.bytes_stored, mem.bytes_stored);
+        let rd = ArchiveReader::open(&path).unwrap();
+        let (written, read) = (file.archive_stats(), rd.stats());
         prop_assert_eq!(
-            file.archive_stats().checkpoints,
-            mem.archive_stats().checkpoints
+            (read.records, read.checkpoints, read.bytes, read.recovered_bytes),
+            (written.records, written.checkpoints, written.bytes, 0)
         );
-        prop_assert_eq!(file.replay(), mem.replay());
+        prop_assert_eq!(rd.describe(), file.describe());
+        let replayed: Vec<Tables> = rd.replay().collect::<std::io::Result<_>>().unwrap();
+        prop_assert_eq!(&replayed, &mem.replay());
         drop(file);
-        let reopened = TableLog::load(&path, full_every).unwrap();
-        prop_assert_eq!(reopened.archive_stats().recovered_bytes, 0);
+        // Resuming replays from the reader's last checkpoint to the tail.
+        let reopened = TableLog::load_read_only(&path, full_every).unwrap();
+        prop_assert_eq!(reopened.last(), streams.last().cloned());
         prop_assert_eq!(reopened.replay(), streams);
         std::fs::remove_file(&path).unwrap();
     }
@@ -156,16 +161,17 @@ proptest! {
         partial in 1u64..9,
     ) {
         let path = tmp_archive();
-        let backend = FileBackend::create(&path).unwrap();
+        let backend = FileBackendV2::create(&path).unwrap();
         let mut log = TableLog::with_backend(Box::new(backend), full_every);
         for s in &streams {
             log.append(s);
         }
         prop_assert_eq!(log.backend_error(), None);
         drop(log);
-        // Frame offsets (plus the end-of-file sentinel) tell us where each
-        // record starts; cut inside record k's frame header.
-        let offsets: Vec<u64> = FileBackend::open(&path).unwrap().offsets().to_vec();
+        // Batch offsets (plus the end-of-file sentinel) tell us where each
+        // record's append starts; cut inside its first frame header (the
+        // record's own, or the dictionary frame riding ahead of it).
+        let offsets: Vec<u64> = FileBackendV2::open(&path).unwrap().offsets().to_vec();
         prop_assert_eq!(offsets.len(), streams.len() + 1);
         let k = 1 + cut_seed % (streams.len() - 1);
         let cut_at = offsets[k] + partial;

@@ -10,9 +10,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use mantra::core::archive::{
-    replay_summary_line, ArchiveBackend, ArchiveReader, FileBackendV2, OpenMode,
-};
+use mantra::core::archive::{replay_summary_line, ArchiveBackend, ArchiveReader, FileBackendV2};
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, PairRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, SimTime};
@@ -76,10 +74,7 @@ fn reader_at_every_byte_growth_point_yields_a_clean_prefix() {
     let bytes = std::fs::read(&full).unwrap();
 
     // Ground truth: record-batch end offsets and the full summary.
-    let offsets: Vec<u64> = FileBackendV2::open_read_only(&full)
-        .unwrap()
-        .offsets()
-        .to_vec();
+    let offsets: Vec<u64> = FileBackendV2::open(&full).unwrap().offsets().to_vec();
     let ground: Vec<String> = streams
         .iter()
         .enumerate()
@@ -153,22 +148,27 @@ fn refreshing_reader_chases_a_live_writer_without_torn_rows() {
             Err(e) => panic!("reader never opened: {e}"),
         }
     };
-    let mut seen = 0usize;
-    while seen < streams.len() {
-        assert!(
-            Instant::now() < deadline,
-            "reader stalled at {seen} records"
-        );
-        let grew = rd.refresh().unwrap();
-        assert_eq!(rd.len(), seen + grew, "refresh must only extend the prefix");
-        seen = rd.len();
+    // The open already scanned whatever the writer had landed, so the
+    // first prefix is checked before any refresh.
+    let mut seen = rd.len();
+    loop {
         let lines = rd.summary_lines(seen).unwrap();
         assert_eq!(
             lines,
             ground[..seen],
             "mid-write replay is not a clean prefix"
         );
+        if seen == streams.len() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "reader stalled at {seen} records"
+        );
         std::thread::sleep(Duration::from_millis(1));
+        let grew = rd.refresh().unwrap();
+        assert_eq!(rd.len(), seen + grew, "refresh must only extend the prefix");
+        seen = rd.len();
     }
     writer.join().unwrap();
     std::fs::remove_file(&path).unwrap();
@@ -201,17 +201,16 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
     );
     assert_eq!(std::fs::read(&path).unwrap(), before, "ArchiveReader wrote");
 
-    let be = FileBackendV2::open_read_only(&path).unwrap();
-    assert_eq!(be.len(), streams.len() - 1);
-    drop(be);
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        before,
-        "FileBackendV2::open_read_only wrote"
-    );
+    assert!(rd.stats().recovered_bytes > 0, "the torn tail is accounted");
 
-    let log = TableLog::load_read_only(&path, FULL_EVERY).unwrap();
+    // Through a log the reader is the backend: it replays the prefix
+    // and refuses appends, loudly.
+    let mut log = TableLog::load_read_only(&path, FULL_EVERY).unwrap();
     assert_eq!(log.replay().as_slice(), &streams[..streams.len() - 1]);
+    log.append(&streams[streams.len() - 1]);
+    assert_eq!(log.write_errors, 1);
+    assert!(log.backend_error().is_some_and(|e| e.contains("read-only")));
+    assert_eq!(log.archive_stats().write_errors, 1);
     drop(log);
     assert_eq!(
         std::fs::read(&path).unwrap(),
@@ -219,13 +218,14 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
         "TableLog::load_read_only wrote"
     );
 
-    // The owning writer is the one allowed to heal: a ReadWrite open
+    // The owning writer is the one allowed to heal: opening it
     // truncates the torn tail — strictly shorter, still a byte prefix.
-    let be = FileBackendV2::open_with(&path, OpenMode::ReadWrite).unwrap();
+    let be = FileBackendV2::open(&path).unwrap();
     assert_eq!(be.len(), streams.len() - 1);
+    assert_eq!(be.stats().recovered_bytes, rd.stats().recovered_bytes);
     drop(be);
     let after = std::fs::read(&path).unwrap();
-    assert!(after.len() < before.len(), "ReadWrite open did not heal");
+    assert!(after.len() < before.len(), "the writer's open did not heal");
     assert_eq!(&before[..after.len()], after.as_slice());
     std::fs::remove_file(&path).unwrap();
 }
